@@ -352,6 +352,27 @@ fn bench_flow_big(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&tel_dir);
 }
 
+/// A 512-node hierarchical rack cluster (`fig_scale`'s shape, one
+/// open-loop TCP client per sender node) under the flow model, timed end
+/// to end: build, start, run and drop. Start-up and teardown that grew
+/// with nodes × connections, or a reallocation that hashes per event,
+/// shows here long before it shows in a figure.
+fn bench_flow_racks(c: &mut Criterion) {
+    use hpsock_experiments::fig_scale::run_scale_point;
+    use hpsock_net::NetModel;
+
+    const NODES: usize = 512;
+    const MSGS: u32 = 4;
+    let mut g = c.benchmark_group("engine");
+    g.sample_size(10);
+    g.measurement_time(Duration::from_secs(3));
+    g.throughput(Throughput::Elements(NODES as u64 / 2 * u64::from(MSGS)));
+    g.bench_function("flow_racks_512", |b| {
+        b.iter(|| black_box(run_scale_point(NetModel::Flow, NODES, 1, MSGS)))
+    });
+    g.finish();
+}
+
 criterion_group!(
     engine,
     bench_event_dispatch,
@@ -361,5 +382,6 @@ criterion_group!(
     bench_sharded_cluster,
     bench_sharded_big,
     bench_flow_big,
+    bench_flow_racks,
 );
 criterion_main!(engine);

@@ -1164,4 +1164,133 @@ mod tests {
             a.2
         );
     }
+
+    /// Bursts `count` messages and logs every `StreamError` it receives.
+    struct ErrorLog {
+        net: Network,
+        conn: ConnId,
+        count: u32,
+        errors: Vec<(ConnId, crate::engine::StreamErrorKind)>,
+    }
+    impl Process for ErrorLog {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for _ in 0..self.count {
+                self.net.send(ctx, self.conn, 16_384, Message::new(()));
+            }
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, msg: Message) {
+            if let Ok(e) = msg.downcast::<crate::engine::StreamError>() {
+                self.errors.push((e.conn, e.kind));
+            }
+        }
+    }
+
+    /// Wire `(src node, dst node)` connections in order, one `ErrorLog`
+    /// sender and one consuming sink each; returns (sender, sink) pids.
+    fn wire_logged(
+        sim: &mut hpsock_sim::Sim,
+        cluster: &Cluster,
+        links: &[(usize, usize)],
+        count: u32,
+    ) -> Vec<(hpsock_sim::ProcessId, hpsock_sim::ProcessId)> {
+        let net = cluster.network();
+        let mut pids = Vec::new();
+        for (i, &(src, dst)) in links.iter().enumerate() {
+            let tx = sim.add_process(Box::new(ErrorLog {
+                net: net.clone(),
+                conn: ConnId(i),
+                count,
+                errors: vec![],
+            }));
+            let rx = sim.add_process(Box::new(Sink {
+                net: net.clone(),
+                sender: None,
+                oneway_us: vec![],
+                last_delivery: SimTime::ZERO,
+                delivered: 0,
+            }));
+            let id = net.connect(
+                cluster.endpoint(NodeId(src), tx),
+                cluster.endpoint(NodeId(dst), rx),
+                TransportKind::SocketVia,
+            );
+            assert_eq!(id, ConnId(i), "connection ids are dense");
+            pids.push((tx, rx));
+        }
+        pids
+    }
+
+    /// A node core answers `tx_stats`/`rx_stats` only for the halves it
+    /// owns, under both network models, and `None` for anything else —
+    /// including a connection id the cluster never registered.
+    #[test]
+    fn node_core_reports_only_its_own_halves() {
+        for model in [NetModel::Packet, NetModel::Flow] {
+            crate::netmodel::with_netmodel(model, || {
+                let mut sim = hpsock_sim::Sim::new(11);
+                let cluster = Cluster::build(&mut sim, 3);
+                // A ring: node n sends to node n + 1.
+                let links = [(0, 1), (1, 2), (2, 0), (1, 2)];
+                wire_logged(&mut sim, &cluster, &links, 4);
+                sim.run();
+                let net = cluster.network();
+                for node in 0..3 {
+                    let core: &crate::engine::NodeCore =
+                        sim.process(net.core_of(NodeId(node))).unwrap();
+                    for (c, &(src, dst)) in links.iter().enumerate() {
+                        let tx = core.tx_stats(ConnId(c));
+                        let rx = core.rx_stats(ConnId(c));
+                        assert_eq!(tx.is_some(), src == node, "{model:?} node {node} tx {c}");
+                        assert_eq!(rx.is_some(), dst == node, "{model:?} node {node} rx {c}");
+                        if let Some(t) = tx {
+                            assert_eq!(t.msgs_sent, 4, "{model:?} conn {c} sends");
+                        }
+                        if let Some(r) = rx {
+                            assert_eq!(r.msgs_delivered, 4, "{model:?} conn {c} delivers");
+                        }
+                    }
+                    assert!(core.tx_stats(ConnId(links.len())).is_none());
+                    assert!(core.rx_stats(ConnId(usize::MAX)).is_none());
+                }
+            });
+        }
+    }
+
+    /// Under the packet model, crashing a node whose connections are not
+    /// the lowest ids fires `ConnCut` for exactly that node's connections:
+    /// their senders get `PeerDead` errors naming their own connection,
+    /// and every other stream delivers in full. Each core holds only its
+    /// own halves, so a cut timer must carry the connection id, not the
+    /// half's position in the core's table.
+    #[test]
+    fn crash_cuts_exactly_the_crashed_nodes_connections() {
+        use crate::engine::StreamErrorKind;
+        const COUNT: u32 = 50;
+        fault::with_spec("crash=2@200us,detect=100us", || {
+            let mut sim = hpsock_sim::Sim::new(5);
+            let cluster = Cluster::build(&mut sim, 4);
+            // Node 2's connections are 2 (sourced there) and 3
+            // (terminating there); 0, 1 and 4 avoid it.
+            let links = [(0, 1), (1, 0), (2, 3), (3, 2), (3, 1)];
+            let pids = wire_logged(&mut sim, &cluster, &links, COUNT);
+            sim.run();
+            for (c, &(src, dst)) in links.iter().enumerate() {
+                let (tx, rx) = pids[c];
+                let log: &ErrorLog = sim.process(tx).unwrap();
+                let sink: &Sink = sim.process(rx).unwrap();
+                let cut = src == 2 || dst == 2;
+                for &(conn, kind) in &log.errors {
+                    assert_eq!(conn, ConnId(c), "conn {c} got another stream's error");
+                    assert_eq!(kind, StreamErrorKind::PeerDead, "conn {c}");
+                }
+                if cut {
+                    assert!(!log.errors.is_empty(), "conn {c} was not cut");
+                    assert!(sink.delivered < 16_384 * COUNT as u64, "conn {c}");
+                } else {
+                    assert!(log.errors.is_empty(), "conn {c} was cut: {:?}", log.errors);
+                    assert_eq!(sink.delivered, 16_384 * COUNT as u64, "conn {c}");
+                }
+            }
+        });
+    }
 }

@@ -28,7 +28,8 @@
 //!
 //! A single [`NetSwitch`] placeholder process (installed first, before any
 //! application process) seals the connection [`Registry`] at start and
-//! spawns the per-node cores; spawned cores take process ids *after* every
+//! spawns the per-node cores, each holding only the connection halves it
+//! owns; spawned cores take process ids *after* every
 //! application process, so application pids and their deterministic RNG
 //! streams are identical to what a monolithic engine produced.
 //!
@@ -184,15 +185,20 @@ pub enum NetCmd {
 
 /// Engine-internal frame/stage events. Frame length rides in the event so
 /// receive-side handlers never need the sender's per-message state.
+///
+/// Each event names the connection half it concerns by its slot in the
+/// handling core's table (`tx` for send-side events, `rx` for receive-side
+/// ones), so per-frame handlers index it directly. A core sending to its
+/// peer takes the peer's slot from [`Route`] together with its pid.
 enum Ev {
     HostTxDone {
-        conn: ConnId,
+        slot: usize,
         msg: u64,
         frame: u32,
         flen: u32,
     },
     WireDone {
-        conn: ConnId,
+        slot: usize,
         msg: u64,
         frame: u32,
         flen: u32,
@@ -201,7 +207,7 @@ enum Ev {
     /// receive side needs (frames always traverse the FCFS stage chain in
     /// order, so frame 0 arrives before any other frame of its message).
     RxFirst {
-        conn: ConnId,
+        slot: usize,
         msg: u64,
         flen: u32,
         frames: u32,
@@ -212,48 +218,48 @@ enum Ev {
     /// A later frame (index ≥ 1) arriving at the receiver. Reassembly only
     /// counts frames, so the frame index does not travel.
     RxArrive {
-        conn: ConnId,
+        slot: usize,
         msg: u64,
         flen: u32,
     },
     HostRxFrameDone {
-        conn: ConnId,
+        slot: usize,
         msg: u64,
         flen: u32,
     },
     MsgReady {
-        conn: ConnId,
+        slot: usize,
         msg: u64,
     },
     /// Window ack (window model): frees in-flight bytes at the sender.
     AckArrive {
-        conn: ConnId,
+        slot: usize,
         frame_bytes: u64,
     },
     /// Descriptor credits re-posted at frame arrival reached the sender
     /// (credits model).
     CreditArrive {
-        conn: ConnId,
+        slot: usize,
         n: u32,
     },
     /// Consumption notification reached the sender: frees receive-buffer
     /// accounting (window model).
     FlowReturn {
-        conn: ConnId,
+        slot: usize,
         bytes: u64,
     },
     /// Loss-detection timer for a fault-doomed message fired at the
     /// sender: repair flow control for the charged frames and surface a
     /// [`StreamError`] to the sending process.
     MsgLost {
-        conn: ConnId,
+        slot: usize,
         msg: u64,
     },
     /// Crash-detection timer for a connection whose endpoint node
     /// fail-stops: fail everything queued or in flight and mark the send
     /// half dead.
     ConnCut {
-        conn: ConnId,
+        slot: usize,
     },
 }
 
@@ -337,6 +343,7 @@ struct DelayedMsg {
 
 /// Send half of a connection, owned by the source node's core.
 struct TxConn {
+    conn: ConnId,
     costs: Arc<PathCosts>,
     flow: Flow,
     sendq: VecDeque<PendingMsg>,
@@ -357,6 +364,7 @@ struct TxConn {
 
 /// Receive half of a connection, owned by the destination node's core.
 struct RxConn {
+    conn: ConnId,
     dst: Endpoint,
     costs: Arc<PathCosts>,
     /// Same flow model as the send side; the receive half only drives the
@@ -401,12 +409,20 @@ pub(crate) struct Registry {
     pub(crate) topology: Topology,
 }
 
+/// Where one half of a connection lives: the node core that owns it and
+/// its slot in that core's table.
+#[derive(Clone, Copy)]
+pub(crate) struct HalfRoute {
+    pub(crate) core: ProcessId,
+    pub(crate) slot: usize,
+}
+
 /// Where each connection's halves live, fixed once the simulation starts.
 pub(crate) struct Route {
-    /// Core owning the send half, per connection (the source node's core).
-    pub(crate) tx_core: Vec<ProcessId>,
-    /// Core owning the receive half, per connection.
-    pub(crate) rx_core: Vec<ProcessId>,
+    /// Send half of each connection (in the source node's core).
+    pub(crate) tx: Vec<HalfRoute>,
+    /// Receive half of each connection (in the destination node's core).
+    pub(crate) rx: Vec<HalfRoute>,
     /// Core process of each node.
     pub(crate) core_of_node: Vec<ProcessId>,
     /// The single [`FluidCore`] process under [`NetModel::Flow`]; `None`
@@ -477,7 +493,7 @@ impl Network {
             id
         };
         ctx.send(
-            self.route("send", Some(conn)).tx_core[conn.0],
+            self.route("send", Some(conn)).tx[conn.0].core,
             Message::new(NetCmd::Send {
                 conn,
                 msg_id,
@@ -492,7 +508,7 @@ impl Network {
     /// resources at the sender after the transport's ack latency).
     pub fn consumed(&self, ctx: &mut Ctx<'_>, conn: ConnId, msg_id: u64) {
         ctx.send(
-            self.route("consumed", Some(conn)).rx_core[conn.0],
+            self.route("consumed", Some(conn)).rx[conn.0].core,
             Message::new(NetCmd::Consumed { conn, msg_id }),
         );
     }
@@ -548,19 +564,58 @@ impl Process for NetSwitch {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         let mut reg = self.registry.lock().expect("registry lock");
         reg.sealed = true;
+        // Each core gets only the halves it owns, built in one pass over
+        // the connections: start-up and memory are O(nodes + conns), not
+        // O(nodes × conns).
+        let n = self.nodes.len();
+        let mut tx: Vec<Vec<TxConn>> = (0..n).map(|_| Vec::new()).collect();
+        let mut rx: Vec<Vec<RxConn>> = (0..n).map(|_| Vec::new()).collect();
+        let mut tx_slot = Vec::with_capacity(reg.conns.len());
+        let mut rx_slot = Vec::with_capacity(reg.conns.len());
+        for (ci, spec) in reg.conns.iter().enumerate() {
+            let (src, dst) = (spec.src.node.0, spec.dst.node.0);
+            tx_slot.push(tx[src].len());
+            tx[src].push(TxConn {
+                conn: ConnId(ci),
+                costs: Arc::clone(&spec.costs),
+                flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
+                sendq: VecDeque::new(),
+                pending_meta: HashMap::new(),
+                stats: ConnStats::default(),
+                stall_since: None,
+                faults: reg.faults.as_ref().and_then(|p| p.compile(src, dst)),
+                src_pid: spec.src.pid,
+                dead: false,
+                doomed: HashMap::new(),
+                delayed: HashMap::new(),
+            });
+            rx_slot.push(rx[dst].len());
+            rx[dst].push(RxConn {
+                conn: ConnId(ci),
+                dst: spec.dst,
+                costs: Arc::clone(&spec.costs),
+                flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
+                msgs: HashMap::new(),
+                unconsumed: HashMap::new(),
+                stats: ConnStats::default(),
+                cut_at: reg.faults.as_ref().and_then(|p| p.crash_time(dst)),
+            });
+        }
         // Spawned cores start after every process added before the run, so
         // application pids (and with them RNG streams) are unaffected by
         // how many cores exist.
-        let core_of_node: Vec<ProcessId> = (0..self.nodes.len())
-            .map(|i| {
+        let core_of_node: Vec<ProcessId> = tx
+            .into_iter()
+            .zip(rx)
+            .enumerate()
+            .map(|(i, (tx, rx))| {
                 ctx.spawn(Box::new(NodeCore {
                     node: NodeId(i),
                     res: self.nodes[i],
-                    registry: Arc::clone(&self.registry),
                     route: Arc::clone(&self.route),
                     model: reg.model,
-                    tx: Vec::new(),
-                    rx: Vec::new(),
+                    tx,
+                    rx,
                 }))
             })
             .collect();
@@ -572,16 +627,16 @@ impl Process for NetSwitch {
                 Arc::clone(&self.route),
             )))
         });
+        let half = |node: NodeId, slot| HalfRoute {
+            core: core_of_node[node.0],
+            slot,
+        };
         let route = Route {
-            tx_core: reg
-                .conns
-                .iter()
-                .map(|s| core_of_node[s.src.node.0])
+            tx: (reg.conns.iter().zip(tx_slot))
+                .map(|(s, slot)| half(s.src.node, slot))
                 .collect(),
-            rx_core: reg
-                .conns
-                .iter()
-                .map(|s| core_of_node[s.dst.node.0])
+            rx: (reg.conns.iter().zip(rx_slot))
+                .map(|(s, slot)| half(s.dst.node, slot))
                 .collect(),
             core_of_node,
             fluid_core,
@@ -602,52 +657,72 @@ impl Process for NetSwitch {
 pub struct NodeCore {
     node: NodeId,
     res: NodeResources,
-    registry: Arc<Mutex<Registry>>,
     route: Arc<OnceLock<Route>>,
     /// The cluster's network model: under [`NetModel::Flow`] the core only
     /// does endpoint bookkeeping and hands transfers to the fluid core.
     model: NetModel,
-    /// Send halves, indexed by connection id (None when sourced elsewhere).
-    tx: Vec<Option<TxConn>>,
-    /// Receive halves, indexed by connection id.
-    rx: Vec<Option<RxConn>>,
+    /// Send halves of the connections sourced here, in ascending
+    /// connection order; [`Route::tx`] maps a connection to its slot.
+    tx: Vec<TxConn>,
+    /// Receive halves of the connections terminating here, in ascending
+    /// connection order; [`Route::rx`] maps a connection to its slot.
+    rx: Vec<RxConn>,
 }
 
 impl NodeCore {
     /// Send-side statistics of a connection sourced at this node.
+    /// `None` for a connection sourced at another node.
     pub fn tx_stats(&self, conn: ConnId) -> Option<&ConnStats> {
-        self.tx.get(conn.0)?.as_ref().map(|t| &t.stats)
+        let slot = self.route.get()?.tx.get(conn.0)?.slot;
+        let t = self.tx.get(slot)?;
+        (t.conn == conn).then_some(&t.stats)
     }
 
-    /// Receive-side statistics of a connection terminating at this node.
+    /// Receive-side statistics of a connection terminating at this node;
+    /// `None` for a connection terminating at another node.
     pub fn rx_stats(&self, conn: ConnId) -> Option<&ConnStats> {
-        self.rx.get(conn.0)?.as_ref().map(|r| &r.stats)
+        let slot = self.route.get()?.rx.get(conn.0)?.slot;
+        let r = self.rx.get(slot)?;
+        (r.conn == conn).then_some(&r.stats)
     }
 
-    fn rx_core(&self, conn: ConnId) -> ProcessId {
+    /// The routing table; panics with a typed [`NetError`] naming `op`
+    /// before the switch has started.
+    fn started(&self, op: &'static str, conn: ConnId) -> &Route {
         match self.route.get() {
-            Some(r) => r.rx_core[conn.0],
+            Some(r) => r,
             None => panic!(
                 "{}",
                 NetError::NotStarted {
-                    op: "rx-core lookup",
+                    op,
                     conn: Some(conn),
                 }
             ),
         }
     }
 
-    fn tx_core(&self, conn: ConnId) -> ProcessId {
-        match self.route.get() {
-            Some(r) => r.tx_core[conn.0],
-            None => panic!(
-                "{}",
-                NetError::NotStarted {
-                    op: "tx-core lookup",
-                    conn: Some(conn),
-                }
-            ),
-        }
+    /// Slot of `conn`'s send half, which this core must own.
+    fn tx_at(&self, conn: ConnId) -> usize {
+        let i = self.started("send-half lookup", conn).tx[conn.0].slot;
+        debug_assert_eq!(self.tx[i].conn, conn, "send half owned here");
+        i
+    }
+
+    /// Slot of `conn`'s receive half, which this core must own.
+    fn rx_at(&self, conn: ConnId) -> usize {
+        let i = self.started("receive-half lookup", conn).rx[conn.0].slot;
+        debug_assert_eq!(self.rx[i].conn, conn, "receive half owned here");
+        i
+    }
+
+    /// Where `conn`'s receive half lives.
+    fn rx_half(&self, conn: ConnId) -> HalfRoute {
+        self.started("rx-core lookup", conn).rx[conn.0]
+    }
+
+    /// Where `conn`'s send half lives.
+    fn tx_half(&self, conn: ConnId) -> HalfRoute {
+        self.started("tx-core lookup", conn).tx[conn.0]
     }
 
     fn fluid_core(&self) -> ProcessId {
@@ -657,9 +732,11 @@ impl NodeCore {
             .expect("no fluid core under the flow model")
     }
 
-    fn pump(&mut self, ctx: &mut Ctx<'_>, conn: ConnId) {
+    /// Emit frames of the send half in slot `i` while flow control allows.
+    fn pump(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        let conn = self.tx[i].conn;
         loop {
-            let c = self.tx[conn.0].as_mut().expect("send half owned here");
+            let c = &mut self.tx[i];
             if c.dead {
                 return;
             }
@@ -713,7 +790,7 @@ impl NodeCore {
                 self.res.host_tx,
                 service,
                 Message::new(Ev::HostTxDone {
-                    conn,
+                    slot: i,
                     msg,
                     frame,
                     flen,
@@ -730,7 +807,8 @@ impl NodeCore {
                 bytes,
                 payload,
             } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let i = self.tx_at(conn);
+                let c = &mut self.tx[i];
                 if c.dead {
                     // The connection was cut before this send arrived:
                     // fail it immediately instead of queueing forever.
@@ -787,10 +865,11 @@ impl NodeCore {
                 c.stats.msgs_sent += 1;
                 c.stats.bytes_sent += bytes;
                 c.stats.queue_depth.set(ctx.now(), c.sendq.len() as f64);
-                self.pump(ctx, conn);
+                self.pump(ctx, i);
             }
             NetCmd::Consumed { conn, msg_id } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+                let i = self.rx_at(conn);
+                let c = &mut self.rx[i];
                 let (bytes, _frames) = c
                     .unconsumed
                     .remove(&msg_id)
@@ -804,8 +883,12 @@ impl NodeCore {
                 // model needs a receive-buffer update at the sender.
                 if !c.flow.is_credits() {
                     let ack = c.costs.ack_latency;
-                    let tx_core = self.tx_core(conn);
-                    ctx.send_in(ack, tx_core, Message::new(Ev::FlowReturn { conn, bytes }));
+                    let tx = self.tx_half(conn);
+                    let ret = Ev::FlowReturn {
+                        slot: tx.slot,
+                        bytes,
+                    };
+                    ctx.send_in(ack, tx.core, Message::new(ret));
                 }
             }
         }
@@ -813,26 +896,26 @@ impl NodeCore {
 
     /// Frame arrival at the receiving host: claim the receive protocol
     /// engine for the per-frame service.
-    fn on_rx_frame(&mut self, ctx: &mut Ctx<'_>, conn: ConnId, msg: u64, flen: u32) {
-        let c = self.rx[conn.0].as_ref().expect("receive half owned here");
+    fn on_rx_frame(&mut self, ctx: &mut Ctx<'_>, i: usize, msg: u64, flen: u32) {
+        let c = &self.rx[i];
         let service = c.costs.per_frame_recv
             + Dur::nanos((flen as f64 * c.costs.per_byte_recv_ns).round() as u64);
         ctx.use_resource(
             self.res.host_rx,
             service,
-            Message::new(Ev::HostRxFrameDone { conn, msg, flen }),
+            Message::new(Ev::HostRxFrameDone { slot: i, msg, flen }),
         );
     }
 
     fn on_ev(&mut self, ctx: &mut Ctx<'_>, ev: Ev) {
         match ev {
             Ev::HostTxDone {
-                conn,
+                slot: i,
                 msg,
                 frame,
                 flen,
             } => {
-                let c = self.tx[conn.0].as_ref().expect("send half owned here");
+                let c = &self.tx[i];
                 let wire_bytes = flen as u64 + c.costs.frame_overhead as u64;
                 let service = c.costs.nic_per_frame
                     + Dur::nanos((wire_bytes as f64 * c.costs.wire_ns_per_byte).round() as u64);
@@ -840,7 +923,7 @@ impl NodeCore {
                     self.res.nic_tx,
                     service,
                     Message::new(Ev::WireDone {
-                        conn,
+                        slot: i,
                         msg,
                         frame,
                         flen,
@@ -848,12 +931,13 @@ impl NodeCore {
                 );
             }
             Ev::WireDone {
-                conn,
+                slot: i,
                 msg,
                 frame,
                 flen,
             } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+                let rx = self.rx_half(self.tx[i].conn);
+                let c = &mut self.tx[i];
                 if c.dead {
                     // Frames of a cut connection die on the wire.
                     return;
@@ -915,7 +999,7 @@ impl NodeCore {
                                 time: t,
                                 delta: 1.0,
                             });
-                            ctx.send_self_in(detect, Message::new(Ev::MsgLost { conn, msg }));
+                            ctx.send_self_in(detect, Message::new(Ev::MsgLost { slot: i, msg }));
                             return;
                         }
                         Some((MsgFate::Deliver { extra }, _, _)) if extra > Dur::ZERO => {
@@ -934,7 +1018,7 @@ impl NodeCore {
                         _ => {}
                     }
                     Ev::RxFirst {
-                        conn,
+                        slot: rx.slot,
                         msg,
                         flen,
                         frames: meta.frames,
@@ -952,13 +1036,16 @@ impl NodeCore {
                             c.delayed.remove(&msg);
                         }
                     }
-                    Ev::RxArrive { conn, msg, flen }
+                    Ev::RxArrive {
+                        slot: rx.slot,
+                        msg,
+                        flen,
+                    }
                 };
-                let rx_core = self.rx_core(conn);
-                ctx.send_in(delay, rx_core, Message::new(arrive));
+                ctx.send_in(delay, rx.core, Message::new(arrive));
             }
             Ev::RxFirst {
-                conn,
+                slot: i,
                 msg,
                 flen,
                 frames,
@@ -966,7 +1053,7 @@ impl NodeCore {
                 sent_at,
                 payload,
             } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+                let c = &mut self.rx[i];
                 if c.cut_at.is_some_and(|t| ctx.now() >= t) {
                     // This node fail-stopped: arriving frames fall on the
                     // floor, returning no acks and no credits.
@@ -982,17 +1069,17 @@ impl NodeCore {
                         payload: Some(payload),
                     },
                 );
-                self.on_rx_frame(ctx, conn, msg, flen);
+                self.on_rx_frame(ctx, i, msg, flen);
             }
-            Ev::RxArrive { conn, msg, flen } => {
-                let c = self.rx[conn.0].as_ref().expect("receive half owned here");
-                if c.cut_at.is_some_and(|t| ctx.now() >= t) {
+            Ev::RxArrive { slot: i, msg, flen } => {
+                if self.rx[i].cut_at.is_some_and(|t| ctx.now() >= t) {
                     return;
                 }
-                self.on_rx_frame(ctx, conn, msg, flen);
+                self.on_rx_frame(ctx, i, msg, flen);
             }
-            Ev::HostRxFrameDone { conn, msg, flen } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+            Ev::HostRxFrameDone { slot: i, msg, flen } => {
+                let tx = self.tx_half(self.rx[i].conn);
+                let c = &mut self.rx[i];
                 let st = c.msgs.get_mut(&msg).expect("frame for unknown message");
                 st.frames_arrived += 1;
                 c.stats.rx_interrupts += 1;
@@ -1009,32 +1096,32 @@ impl NodeCore {
                     // the sender after the return-path latency.
                     let n = c.flow.on_frame_arrived(flen as u64);
                     if n > 0 {
-                        let tx_core = self.tx_core(conn);
-                        ctx.send_in(ack, tx_core, Message::new(Ev::CreditArrive { conn, n }));
+                        let credit = Ev::CreditArrive { slot: tx.slot, n };
+                        ctx.send_in(ack, tx.core, Message::new(credit));
                     }
                 } else {
-                    let tx_core = self.tx_core(conn);
                     ctx.send_in(
                         ack,
-                        tx_core,
+                        tx.core,
                         Message::new(Ev::AckArrive {
-                            conn,
+                            slot: tx.slot,
                             frame_bytes: flen as u64,
                         }),
                     );
                 }
                 if last {
-                    let c = self.rx[conn.0].as_ref().expect("receive half owned here");
+                    let c = &self.rx[i];
                     let service = c.costs.per_msg_recv;
                     ctx.use_resource(
                         self.res.host_rx,
                         service,
-                        Message::new(Ev::MsgReady { conn, msg }),
+                        Message::new(Ev::MsgReady { slot: i, msg }),
                     );
                 }
             }
-            Ev::MsgReady { conn, msg } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+            Ev::MsgReady { slot: i, msg } => {
+                let c = &mut self.rx[i];
+                let conn = c.conn;
                 let mut st = c.msgs.remove(&msg).expect("ready for unknown message");
                 let payload = st.payload.take().expect("payload present until delivery");
                 c.unconsumed.insert(msg, (st.bytes, st.frames));
@@ -1064,32 +1151,36 @@ impl NodeCore {
                 };
                 ctx.send(c.dst.pid, Message::new(delivery));
             }
-            Ev::AckArrive { conn, frame_bytes } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+            Ev::AckArrive {
+                slot: i,
+                frame_bytes,
+            } => {
+                let c = &mut self.tx[i];
                 if c.dead {
                     return;
                 }
                 c.flow.on_frame_arrived(frame_bytes);
-                self.pump(ctx, conn);
+                self.pump(ctx, i);
             }
-            Ev::CreditArrive { conn, n } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+            Ev::CreditArrive { slot: i, n } => {
+                let c = &mut self.tx[i];
                 if c.dead {
                     return;
                 }
                 c.flow.on_credits_returned(n);
-                self.pump(ctx, conn);
+                self.pump(ctx, i);
             }
-            Ev::FlowReturn { conn, bytes } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+            Ev::FlowReturn { slot: i, bytes } => {
+                let c = &mut self.tx[i];
                 if c.dead {
                     return;
                 }
                 c.flow.on_consumed(bytes);
-                self.pump(ctx, conn);
+                self.pump(ctx, i);
             }
-            Ev::MsgLost { conn, msg } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+            Ev::MsgLost { slot: i, msg } => {
+                let c = &mut self.tx[i];
+                let conn = c.conn;
                 if c.dead {
                     // ConnCut already failed everything on this link.
                     return;
@@ -1112,8 +1203,8 @@ impl NodeCore {
                     c.flow.on_credits_returned(frames_charged);
                 } else {
                     let fp = c.costs.frame_payload;
-                    for i in 0..frames_charged {
-                        c.flow.on_frame_arrived(frame_len(bytes, fp, i) as u64);
+                    for f in 0..frames_charged {
+                        c.flow.on_frame_arrived(frame_len(bytes, fp, f) as u64);
                     }
                 }
                 let pid = c.src_pid;
@@ -1131,10 +1222,11 @@ impl NodeCore {
                         kind,
                     }),
                 );
-                self.pump(ctx, conn);
+                self.pump(ctx, i);
             }
-            Ev::ConnCut { conn } => {
-                let c = self.tx[conn.0].as_mut().expect("send half owned here");
+            Ev::ConnCut { slot: i } => {
+                let c = &mut self.tx[i];
+                let conn = c.conn;
                 if c.dead {
                     return;
                 }
@@ -1187,7 +1279,8 @@ impl NodeCore {
                 sent_at,
                 payload,
             } => {
-                let c = self.rx[conn.0].as_mut().expect("receive half owned here");
+                let i = self.rx_at(conn);
+                let c = &mut self.rx[i];
                 if c.cut_at.is_some_and(|t| ctx.now() >= t) {
                     // This node fail-stopped while the delivery was in its
                     // final hop: it falls on the floor, as arriving frames
@@ -1226,7 +1319,7 @@ impl NodeCore {
                 bytes,
                 kind,
             } => {
-                let c = self.tx[conn.0].as_ref().expect("send half owned here");
+                let c = &self.tx[self.tx_at(conn)];
                 let pid = c.src_pid;
                 ctx.probe_emit(|t| ProbeEvent::Counter {
                     name: "net.fault.lost".to_string(),
@@ -1256,47 +1349,6 @@ impl Process for NodeCore {
     }
 
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        // The switch's on_start (which seals the registry) always runs
-        // before spawned cores start.
-        let reg = self.registry.lock().expect("registry lock");
-        assert!(reg.sealed, "core started before the switch");
-        self.tx = reg
-            .conns
-            .iter()
-            .map(|spec| {
-                (spec.src.node == self.node).then(|| TxConn {
-                    costs: Arc::clone(&spec.costs),
-                    flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
-                    sendq: VecDeque::new(),
-                    pending_meta: HashMap::new(),
-                    stats: ConnStats::default(),
-                    stall_since: None,
-                    faults: reg
-                        .faults
-                        .as_ref()
-                        .and_then(|p| p.compile(spec.src.node.0, spec.dst.node.0)),
-                    src_pid: spec.src.pid,
-                    dead: false,
-                    doomed: HashMap::new(),
-                    delayed: HashMap::new(),
-                })
-            })
-            .collect();
-        self.rx = reg
-            .conns
-            .iter()
-            .map(|spec| {
-                (spec.dst.node == self.node).then(|| RxConn {
-                    dst: spec.dst,
-                    costs: Arc::clone(&spec.costs),
-                    flow: Flow::new(spec.costs.flow, spec.costs.frame_payload),
-                    msgs: HashMap::new(),
-                    unconsumed: HashMap::new(),
-                    stats: ConnStats::default(),
-                    cut_at: reg.faults.as_ref().and_then(|p| p.crash_time(self.node.0)),
-                })
-            })
-            .collect();
         // Crash-detection timers for connections an endpoint crash will
         // cut: everything queued on them fails at crash + detect. Under
         // the flow model the fluid core owns all in-flight state, so it
@@ -1304,18 +1356,12 @@ impl Process for NodeCore {
         if self.model == NetModel::Flow {
             return;
         }
-        let cuts: Vec<(usize, Dur)> = self
-            .tx
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| {
-                let f = t.as_ref()?.faults.as_ref()?;
-                let cut_at = f.cut_at?;
-                Some((i, Dur::nanos(cut_at.as_nanos()) + f.detect))
-            })
-            .collect();
-        for (i, at) in cuts {
-            ctx.send_self_in(at, Message::new(Ev::ConnCut { conn: ConnId(i) }));
+        for (slot, t) in self.tx.iter().enumerate() {
+            let Some(f) = &t.faults else { continue };
+            if let Some(cut_at) = f.cut_at {
+                let at = Dur::nanos(cut_at.as_nanos()) + f.detect;
+                ctx.send_self_in(at, Message::new(Ev::ConnCut { slot }));
+            }
         }
     }
 

@@ -47,7 +47,7 @@ use crate::engine::{ConnId, Registry, Route, StreamErrorKind};
 use crate::fault::{ConnFaults, MsgFate};
 use crate::params::PathCosts;
 use hpsock_sim::{Ctx, Dur, Message, Process, ProcessId, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// cLAN wire drain rate in payload bytes per nanosecond (the 795 Mbps
@@ -67,6 +67,9 @@ pub const NODE_WIRE_BYTES_PER_NS: f64 = 1.0 / 10.06;
 /// Every weight must be positive and every flow must cross at least one
 /// link; the result then saturates at least one link on every flow's
 /// path (Pareto optimality) and never exceeds any capacity.
+///
+/// This is a checked front end to [`Filling`], the one progressive-filling
+/// routine the fluid core also runs.
 pub fn max_min_rates(caps: &[f64], flows: &[Vec<(usize, f64)>]) -> Vec<f64> {
     for (f, path) in flows.iter().enumerate() {
         assert!(!path.is_empty(), "flow {f} crosses no links");
@@ -75,56 +78,214 @@ pub fn max_min_rates(caps: &[f64], flows: &[Vec<(usize, f64)>]) -> Vec<f64> {
             assert!(w > 0.0, "flow {f} has non-positive weight {w} on link {l}");
         }
     }
-    let mut rate = vec![0.0; flows.len()];
-    let mut frozen = vec![false; flows.len()];
-    let mut cap_left = caps.to_vec();
-    loop {
-        // Fair share each link could still grant its unfrozen flows.
-        let mut wsum = vec![0.0; caps.len()];
-        for (f, path) in flows.iter().enumerate() {
-            if frozen[f] {
-                continue;
+    let mut fill = Filling::default();
+    fill.caps.extend_from_slice(caps);
+    for path in flows {
+        fill.push_flow(path.iter().copied());
+    }
+    fill.solve().to_vec()
+}
+
+/// A max-min allocation problem laid out flat, with the working buffers
+/// of progressive filling kept across calls so a reused `Filling`
+/// allocates nothing once it has grown to the largest problem seen.
+///
+/// Flow `f` crosses `hops[ends[f - 1]..ends[f]]` (from 0 for the first
+/// flow), each hop a `(link, weight)` pair indexing `caps`.
+#[derive(Default)]
+pub(crate) struct Filling {
+    caps: Vec<f64>,
+    ends: Vec<usize>,
+    hops: Vec<(usize, f64)>,
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    cap_left: Vec<f64>,
+    wsum: Vec<f64>,
+    fair: Vec<f64>,
+}
+
+impl Filling {
+    /// Forget the previous problem, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.caps.clear();
+        self.ends.clear();
+        self.hops.clear();
+    }
+
+    /// Append a flow crossing `path`.
+    fn push_flow(&mut self, path: impl IntoIterator<Item = (usize, f64)>) {
+        self.hops.extend(path);
+        self.ends.push(self.hops.len());
+    }
+
+    /// Progressive filling over the current problem; returns the rate of
+    /// each flow in push order. Weights are summed per link in flow order
+    /// and capacity is drawn down in flow order, so the rates are a pure
+    /// function of the problem as laid out.
+    pub(crate) fn solve(&mut self) -> &[f64] {
+        let Filling {
+            caps,
+            ends,
+            hops,
+            rate,
+            frozen,
+            cap_left,
+            wsum,
+            fair,
+        } = self;
+        let n = ends.len();
+        rate.clear();
+        rate.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
+        cap_left.clear();
+        cap_left.extend_from_slice(caps);
+        loop {
+            // Fair share each link could still grant its unfrozen flows.
+            wsum.clear();
+            wsum.resize(caps.len(), 0.0);
+            let mut start = 0;
+            for (f, &end) in ends.iter().enumerate() {
+                if !frozen[f] {
+                    for &(l, w) in &hops[start..end] {
+                        wsum[l] += w;
+                    }
+                }
+                start = end;
             }
-            for &(l, w) in path {
-                wsum[l] += w;
-            }
-        }
-        let fair: Vec<f64> = (0..caps.len())
-            .map(|l| {
-                if wsum[l] > 0.0 {
-                    cap_left[l].max(0.0) / wsum[l]
+            fair.clear();
+            fair.extend(cap_left.iter().zip(wsum.iter()).map(|(&left, &ws)| {
+                if ws > 0.0 {
+                    left.max(0.0) / ws
                 } else {
                     f64::INFINITY
                 }
-            })
-            .collect();
-        let bottleneck = fair.iter().copied().fold(f64::INFINITY, f64::min);
-        if !bottleneck.is_finite() {
-            break; // no unfrozen flows left
-        }
-        // Freeze every flow crossing a bottleneck link at the fair share.
-        let mut froze_any = false;
-        for (f, path) in flows.iter().enumerate() {
-            if frozen[f] {
-                continue;
+            }));
+            let bottleneck = fair.iter().copied().fold(f64::INFINITY, f64::min);
+            if !bottleneck.is_finite() {
+                break; // no unfrozen flows left
             }
-            if path
-                .iter()
-                .any(|&(l, _)| fair[l] <= bottleneck * (1.0 + 1e-12))
-            {
-                rate[f] = bottleneck;
-                frozen[f] = true;
-                froze_any = true;
-                for &(l, w) in path {
-                    cap_left[l] -= bottleneck * w;
+            // Freeze every flow crossing a bottleneck link at the fair share.
+            let mut froze_any = false;
+            let mut start = 0;
+            for (f, &end) in ends.iter().enumerate() {
+                let path = &hops[start..end];
+                start = end;
+                if frozen[f] {
+                    continue;
+                }
+                if path
+                    .iter()
+                    .any(|&(l, _)| fair[l] <= bottleneck * (1.0 + 1e-12))
+                {
+                    rate[f] = bottleneck;
+                    frozen[f] = true;
+                    froze_any = true;
+                    for &(l, w) in path {
+                        cap_left[l] -= bottleneck * w;
+                    }
+                }
+            }
+            if !froze_any {
+                break; // numerical stalemate: everyone left is unconstrained
+            }
+        }
+        rate
+    }
+}
+
+/// The reusable working state of one reallocation: generation-stamped
+/// marks for the component search (a link or connection belongs to the
+/// current search when its mark equals `stamp`, so starting a new search
+/// is one increment, not a clear), the dense global → local link map,
+/// and the component's allocation problem.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    stamp: u32,
+    link_mark: Vec<u32>,
+    conn_mark: Vec<u32>,
+    /// Local index of each marked link in the current problem.
+    link_local: Vec<usize>,
+    pending: Vec<usize>,
+    links: Vec<usize>,
+    /// The component's connections in ascending order: flow `k` of
+    /// `fill` belongs to `comp[k]`.
+    pub(crate) comp: Vec<usize>,
+    pub(crate) fill: Filling,
+}
+
+impl Scratch {
+    /// Scratch for a graph of `links` links and `conns` connections.
+    pub(crate) fn new(links: usize, conns: usize) -> Scratch {
+        Scratch {
+            link_mark: vec![0; links],
+            conn_mark: vec![0; conns],
+            link_local: vec![0; links],
+            ..Scratch::default()
+        }
+    }
+
+    /// Find the connected component of the flow–link sharing graph that
+    /// touches the `seed` links and lay out its allocation problem in
+    /// `fill`: connections in ascending order (`comp`), links renumbered
+    /// in ascending global order, each path in its stored hop order.
+    /// `users[l]` lists the active connections crossing link `l`, and
+    /// `path(c)` is active connection `c`'s `(global link, weight)` path.
+    pub(crate) fn gather<'p>(
+        &mut self,
+        seed: impl IntoIterator<Item = usize>,
+        caps: &[f64],
+        users: &[Vec<usize>],
+        path: impl Fn(usize) -> &'p [(usize, f64)],
+    ) {
+        if self.stamp == u32::MAX {
+            self.link_mark.fill(0);
+            self.conn_mark.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let stamp = self.stamp;
+        self.pending.clear();
+        self.links.clear();
+        self.comp.clear();
+        for l in seed {
+            if self.link_mark[l] != stamp {
+                self.link_mark[l] = stamp;
+                self.links.push(l);
+                self.pending.push(l);
+            }
+        }
+        while let Some(l) = self.pending.pop() {
+            for &c in &users[l] {
+                if self.conn_mark[c] == stamp {
+                    continue;
+                }
+                self.conn_mark[c] = stamp;
+                self.comp.push(c);
+                for &(l2, _) in path(c) {
+                    if self.link_mark[l2] != stamp {
+                        self.link_mark[l2] = stamp;
+                        self.links.push(l2);
+                        self.pending.push(l2);
+                    }
                 }
             }
         }
-        if !froze_any {
-            break; // numerical stalemate: everyone left is unconstrained
+        // Sorted component and links: float accumulation order must be a
+        // pure function of the component, not of the search order.
+        self.comp.sort_unstable();
+        self.links.sort_unstable();
+        self.fill.clear();
+        for (i, &l) in self.links.iter().enumerate() {
+            self.link_local[l] = i;
+            self.fill.caps.push(caps[l]);
+        }
+        let local = &self.link_local;
+        for &c in &self.comp {
+            self.fill
+                .push_flow(path(c).iter().map(|&(l, w)| (local[l], w)));
         }
     }
-    rate
 }
 
 /// Events of the fluid engine. `Arrive`/`Complete` are handled by the
@@ -214,7 +375,20 @@ struct ActiveFlow {
     /// Tag of the completion event currently in flight for this flow.
     epoch: u64,
     /// `(global link id, weight)` pairs — the allocator's view.
-    path: Vec<(usize, f64)>,
+    path: FlowPath,
+}
+
+/// A flow's path without a heap allocation: three stage links, plus the
+/// rack uplink and downlink for an inter-rack flow.
+struct FlowPath {
+    hops: [(usize, f64); 5],
+    len: usize,
+}
+
+impl FlowPath {
+    fn hops(&self) -> &[(usize, f64)] {
+        &self.hops[..self.len]
+    }
 }
 
 /// Per-connection fluid state.
@@ -250,14 +424,13 @@ pub(crate) struct FluidCore {
     /// Link capacities: stage links at 1.0 (weights are ns/byte), fabric
     /// links in bytes/ns.
     caps: Vec<f64>,
-    /// Connections with an active flow, kept sorted for deterministic
-    /// iteration.
-    active: Vec<usize>,
-    /// Active connections per link (same sorted-vec discipline), indexed
-    /// by global link id — the sharing graph the component search walks,
-    /// maintained incrementally so a state change never scans flows that
-    /// share nothing with it.
+    /// Active connections per link, kept sorted, indexed by global link
+    /// id — the sharing graph the component search walks, maintained
+    /// incrementally so a state change never scans flows that share
+    /// nothing with it.
     link_users: Vec<Vec<usize>>,
+    /// Reallocation working state, reused across events.
+    scratch: Scratch,
 }
 
 impl FluidCore {
@@ -267,8 +440,8 @@ impl FluidCore {
             route,
             conns: Vec::new(),
             caps: Vec::new(),
-            active: Vec::new(),
             link_users: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -286,20 +459,23 @@ impl FluidCore {
     /// The allocator's path for a flow of `bytes` on `conn`: stage links
     /// weighted by their per-byte occupancy for this message size, plus
     /// the rack fabric weighted by wire bytes per payload byte.
-    fn flow_path(&self, conn: usize, bytes: u64) -> Vec<(usize, f64)> {
+    fn flow_path(&self, conn: usize, bytes: u64) -> FlowPath {
         let c = &self.conns[conn];
         let s = bytes.max(1) as f64;
         let occ = c.costs.stage_occupancies(bytes);
-        let mut path = vec![
-            (c.stage_links[0], occ[0] / s),
-            (c.stage_links[1], occ[1] / s),
-            (c.stage_links[2], occ[2] / s),
-        ];
+        let mut path = FlowPath {
+            hops: [(0, 0.0); 5],
+            len: 3,
+        };
+        for (hop, (&l, &o)) in path.hops.iter_mut().zip(c.stage_links.iter().zip(&occ)) {
+            *hop = (l, o / s);
+        }
         if let Some((up, down)) = c.fabric {
             let frames = c.costs.frames_for(bytes) as u64;
             let wire = (bytes + frames * c.costs.frame_overhead as u64) as f64 / s;
-            path.push((up, wire));
-            path.push((down, wire));
+            path.hops[3] = (up, wire);
+            path.hops[4] = (down, wire);
+            path.len = 5;
         }
         path
     }
@@ -341,7 +517,7 @@ impl FluidCore {
                 continue;
             }
             let path = self.flow_path(conn, q.bytes);
-            for &(l, _) in &path {
+            for &(l, _) in path.hops() {
                 let lu = &mut self.link_users[l];
                 if let Err(i) = lu.binary_search(&conn) {
                     lu.insert(i, conn);
@@ -361,9 +537,6 @@ impl FluidCore {
                 updated: ctx.now(),
                 path,
             });
-            if let Err(i) = self.active.binary_search(&conn) {
-                self.active.insert(i, conn);
-            }
             return true;
         }
     }
@@ -374,57 +547,30 @@ impl FluidCore {
     /// component share no link (transitively) with the changed connection,
     /// so their rates — and their already-scheduled completions — stand.
     fn reallocate(&mut self, ctx: &mut Ctx<'_>, seed_conn: usize) {
-        if self.active.is_empty() {
+        let c = &self.conns[seed_conn];
+        let seed = c
+            .stage_links
+            .into_iter()
+            .chain(c.fabric.into_iter().flat_map(|(up, down)| [up, down]));
+        let conns = &self.conns;
+        self.scratch
+            .gather(seed, &self.caps, &self.link_users, |ci| {
+                conns[ci].active.as_ref().expect("in sync").path.hops()
+            });
+        let Scratch { comp, fill, .. } = &mut self.scratch;
+        if comp.is_empty() {
             return;
         }
-        let mut pending: Vec<usize> = self.conns[seed_conn].stage_links.to_vec();
-        if let Some((up, down)) = self.conns[seed_conn].fabric {
-            pending.push(up);
-            pending.push(down);
-        }
-        let mut seen_links: HashSet<usize> = pending.iter().copied().collect();
-        let mut in_comp: HashSet<usize> = HashSet::new();
-        while let Some(l) = pending.pop() {
-            for &ci in &self.link_users[l] {
-                if in_comp.insert(ci) {
-                    for &(l2, _) in &self.conns[ci].active.as_ref().expect("in sync").path {
-                        if seen_links.insert(l2) {
-                            pending.push(l2);
-                        }
-                    }
-                }
-            }
-        }
-        if in_comp.is_empty() {
-            return;
-        }
-        // Sort component and links: float accumulation order must be a
-        // pure function of the component, not of hash iteration order.
-        let mut comp: Vec<usize> = in_comp.into_iter().collect();
-        comp.sort_unstable();
-        let mut links: Vec<usize> = seen_links.into_iter().collect();
-        links.sort_unstable();
-        let lidx: HashMap<usize, usize> = links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        let caps: Vec<f64> = links.iter().map(|&l| self.caps[l]).collect();
-        let flows: Vec<Vec<(usize, f64)>> = comp
-            .iter()
-            .map(|&ci| {
-                self.conns[ci].active.as_ref().expect("in sync").path[..]
-                    .iter()
-                    .map(|&(l, w)| (lidx[&l], w))
-                    .collect()
-            })
-            .collect();
-        let rates = max_min_rates(&caps, &flows);
+        let rates = fill.solve();
         let now = ctx.now();
-        for (k, &ci) in comp.iter().enumerate() {
+        for (&ci, &rate) in comp.iter().zip(rates) {
             let c = &mut self.conns[ci];
             let f = c.active.as_mut().expect("in sync");
             Self::advance_flow(f, now);
-            if rates[k] != f.rate {
+            if rate != f.rate {
                 // An unchanged rate keeps its scheduled completion: the
                 // residual shrank by exactly rate·dt since scheduling.
-                f.rate = rates[k];
+                f.rate = rate;
                 c.epochs += 1;
                 f.epoch = c.epochs;
                 let delay = Dur::nanos((f.remaining / f.rate).ceil() as u64);
@@ -489,12 +635,9 @@ impl FluidCore {
                 return; // stale: superseded by a reallocation
             }
         }
-        if let Ok(i) = self.active.binary_search(&conn) {
-            self.active.remove(i);
-        }
         let c = &mut self.conns[conn];
         let mut f = c.active.take().expect("checked above");
-        for &(l, _) in &f.path {
+        for &(l, _) in f.path.hops() {
             let lu = &mut self.link_users[l];
             if let Ok(i) = lu.binary_search(&conn) {
                 lu.remove(i);
@@ -571,8 +714,8 @@ impl Process for FluidCore {
                     _ => None,
                 };
                 FluidConn {
-                    tx_core: route.tx_core[ci],
-                    rx_core: route.rx_core[ci],
+                    tx_core: route.tx[ci].core,
+                    rx_core: route.rx[ci].core,
                     stage_links: [3 * src, 3 * src + 1, 3 * dst + 2],
                     fabric,
                     min_drx: min_delivery(&spec.costs),
@@ -588,6 +731,7 @@ impl Process for FluidCore {
                 }
             })
             .collect();
+        self.scratch = Scratch::new(self.caps.len(), self.conns.len());
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
@@ -668,6 +812,23 @@ mod tests {
         assert_close(rates[0], 1.0, "f0");
         assert_close(rates[1], 2.0, "f1");
         assert_close(rates[2], 10.0, "f2");
+    }
+
+    #[test]
+    fn stamp_wraparound_clears_stale_marks() {
+        // Two disjoint one-link flows. The first search marks link 0 and
+        // flow 0 with stamp 1; after the stamp wraps, the next search
+        // takes stamp 1 again and must not mistake those marks for its own.
+        let caps = [1.0, 2.0];
+        let flows = [vec![(0, 1.0)], vec![(1, 1.0)]];
+        let users = [vec![0], vec![1]];
+        let mut s = Scratch::new(2, 2);
+        for stamp in [0, u32::MAX, u32::MAX - 1] {
+            s.stamp = stamp;
+            s.gather([0], &caps, &users, |f| &flows[f][..]);
+            assert_eq!(s.comp, [0], "search from stamp {stamp}");
+            assert_eq!(s.fill.solve(), [1.0]);
+        }
     }
 
     #[test]

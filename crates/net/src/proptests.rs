@@ -1,5 +1,7 @@
 //! Property tests over the network engine: conservation, per-connection
-//! FIFO delivery, and latency sanity for arbitrary message batches.
+//! FIFO delivery, and latency sanity for arbitrary message batches; and
+//! over the fluid allocator: feasibility, Pareto optimality, scratch
+//! reuse and component decomposition.
 
 #![cfg(test)]
 
@@ -154,6 +156,113 @@ proptest! {
                 "flow {} crosses no saturated link (rates {:?}, used {:?}, caps {:?})",
                 f, &rates, &used, &caps
             );
+        }
+    }
+}
+
+/// A generated allocation problem: link capacities and flow paths.
+type Problem = (Vec<f64>, Vec<Vec<(usize, f64)>>);
+
+/// Raw draws for [`problem`]: link count, capacities, flow paths.
+type RawProblem = (usize, Vec<u64>, Vec<Vec<(usize, u64)>>);
+
+fn problem_strategy() -> impl Strategy<Value = RawProblem> {
+    (
+        1usize..12,
+        proptest::collection::vec(100u64..100_000, 11),
+        proptest::collection::vec(
+            proptest::collection::vec((0usize..11, 10u64..10_000), 1..5),
+            1..12,
+        ),
+    )
+}
+
+/// Problems of 1-11 links and 1-11 flows; paths may repeat links, and
+/// capacities and weights span three decades.
+fn problem((links, caps, flows): &RawProblem) -> Problem {
+    (
+        caps[..*links].iter().map(|&c| c as f64 / 1_000.0).collect(),
+        flows
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .map(|&(l, w)| (l % links, w as f64 / 1_000.0))
+                    .collect()
+            })
+            .collect(),
+    )
+}
+
+/// Active flows per link, ascending and without repeats: the sharing
+/// graph the fluid core keeps.
+fn users_of(links: usize, flows: &[Vec<(usize, f64)>]) -> Vec<Vec<usize>> {
+    let mut users = vec![Vec::new(); links];
+    for (f, path) in flows.iter().enumerate() {
+        for &(l, _) in path {
+            if users[l].last() != Some(&f) {
+                users[l].push(f);
+            }
+        }
+    }
+    users
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One reallocation scratch, reused across a sequence of problems
+    /// that grow and shrink in flows and links, gives rates bit-identical
+    /// to a fresh `max_min_rates` call on each: no state of an earlier
+    /// problem leaks into a later one.
+    #[test]
+    fn reused_scratch_matches_fresh_allocation_bit_for_bit(
+        problems in proptest::collection::vec(problem_strategy(), 1..8),
+    ) {
+        let mut scratch = crate::fluid::Scratch::new(12, 12);
+        for (caps, flows) in problems.iter().map(problem) {
+            let fresh = crate::fluid::max_min_rates(&caps, &flows);
+            // Seeding every link gathers every flow, in ascending order,
+            // with links renumbered onto themselves.
+            let users = users_of(caps.len(), &flows);
+            scratch.gather(0..caps.len(), &caps, &users, |f| &flows[f][..]);
+            prop_assert_eq!(&scratch.comp, &(0..flows.len()).collect::<Vec<_>>());
+            let reused: Vec<u64> = scratch.fill.solve().iter().map(|r| r.to_bits()).collect();
+            let fresh: Vec<u64> = fresh.iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(reused, fresh);
+        }
+    }
+
+    /// Max-min fairness decomposes over connected components: the rates
+    /// the fluid core computes for the component around any one flow
+    /// agree, within 1e-9 relative, with an allocation over every active
+    /// flow at once. The gathered component is closed (no flow outside
+    /// it shares a link with a flow inside) and sorted.
+    #[test]
+    fn component_allocation_matches_whole_graph(raw in problem_strategy()) {
+        let (caps, flows) = problem(&raw);
+        let whole = crate::fluid::max_min_rates(&caps, &flows);
+        let users = users_of(caps.len(), &flows);
+        let mut scratch = crate::fluid::Scratch::new(caps.len(), flows.len());
+        for seed in 0..flows.len() {
+            let seed_links = flows[seed].iter().map(|&(l, _)| l);
+            scratch.gather(seed_links, &caps, &users, |f| &flows[f][..]);
+            let comp = scratch.comp.clone();
+            prop_assert!(comp.windows(2).all(|w| w[0] < w[1]), "unsorted {:?}", comp);
+            prop_assert!(comp.binary_search(&seed).is_ok(), "seed {} outside {:?}", seed, comp);
+            for &f in &comp {
+                for &(l, _) in &flows[f] {
+                    for u in &users[l] {
+                        prop_assert!(comp.binary_search(u).is_ok(), "{} escapes {:?}", u, comp);
+                    }
+                }
+            }
+            let rates = scratch.fill.solve();
+            for (&f, &r) in comp.iter().zip(rates) {
+                prop_assert!(
+                    (r - whole[f]).abs() <= 1e-9 * whole[f].abs(),
+                    "flow {}: component {} vs whole graph {}", f, r, whole[f]
+                );
+            }
         }
     }
 }

@@ -478,3 +478,80 @@ fn telemetry_is_digest_and_table_neutral() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Pinned outputs of the flow-level fabric and its packet twin: event
+/// counts, virtual end times and trace digests recorded before the fluid
+/// core's reallocation and the node cores' connection tables were
+/// rewritten for speed. Those rewrites must change host time only, so
+/// every figure here stays exactly as recorded.
+#[test]
+fn fabric_outputs_match_pinned_values() {
+    use hpsock_experiments::bigtopo::{self, GATE_BYTES};
+    use hpsock_experiments::fig_scale::run_scale_point;
+    use hpsock_net::{with_netmodel, NetModel};
+
+    // (model, nodes, clients per node) -> (events, end ms)
+    let scale = [
+        (NetModel::Flow, 128, 4, 28_160, 22.979551),
+        (NetModel::Flow, 512, 1, 41_216, 8.673275),
+        (NetModel::Packet, 64, 2, 33_792, 8.593925),
+    ];
+    for (model, nodes, cpn, events, end_ms) in scale {
+        let p = run_scale_point(model, nodes, cpn, 8);
+        assert_eq!(
+            (p.events, p.end_ms),
+            (events, end_ms),
+            "{model:?} scale point {nodes} nodes x{cpn}"
+        );
+    }
+
+    // (model, transport, bytes, msgs per conn) -> (end ns, digest, events)
+    let big = [
+        (
+            NetModel::Flow,
+            TransportKind::SocketVia,
+            bigtopo::BYTES,
+            100,
+            17_245_900,
+            0x8bea_ede6_ea1e_f2b5,
+            38_400,
+        ),
+        (
+            NetModel::Flow,
+            TransportKind::KTcp,
+            GATE_BYTES,
+            100,
+            53_598_111,
+            0xf890_b102_8a5e_9296,
+            38_400,
+        ),
+        (
+            NetModel::Packet,
+            TransportKind::SocketVia,
+            bigtopo::BYTES,
+            100,
+            17_252_300,
+            0x673f_ed04_eaf5_73f3,
+            57_600,
+        ),
+        (
+            NetModel::Packet,
+            TransportKind::KTcp,
+            GATE_BYTES,
+            20,
+            10_771_991,
+            0x33a3_1e38_86ca_156b,
+            153_600,
+        ),
+    ];
+    for (model, kind, bytes, msgs, end_ns, digest, events) in big {
+        let (end, got_digest, got_events) =
+            with_netmodel(model, || bigtopo::run_big_custom(1, msgs, kind, bytes));
+        assert_eq!(
+            (end.as_nanos(), got_digest, got_events),
+            (end_ns, digest, events),
+            "{model:?} big topology over {}",
+            kind.label()
+        );
+    }
+}
